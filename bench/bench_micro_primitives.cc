@@ -10,7 +10,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/logging.h"
@@ -197,7 +199,7 @@ uint64_t RowsFingerprint(const SharedRows& rows) {
 /// The batched path must reproduce the scalar path bit for bit — checked
 /// here over FNV fingerprints of both share arrays so a silent divergence
 /// fails the bench run itself, not just the unit suite.
-void CheckSortFingerprints(size_t n, int threads) {
+void CheckSortFingerprints(size_t n) {
   Rng rng(41 + n);
   const SharedRows input = RandomViewRows(&rng, n);
   Party a0(0, 51), a1(1, 52);
@@ -206,9 +208,8 @@ void CheckSortFingerprints(size_t n, int threads) {
   ObliviousSortScalar(&scalar, &s, kViewSortKeyCol, false);
   Party b0(0, 51), b1(1, 52);
   Protocol2PC batched(&b0, &b1, CostModel::EmpLikeLan());
-  ThreadPool pool(threads);
   SharedRows b = input;
-  ObliviousSort(&batched, &b, kViewSortKeyCol, false, BatchExec{&pool, 1});
+  ObliviousSort(&batched, &b, kViewSortKeyCol, false);
   INCSHRINK_CHECK_EQ(RowsFingerprint(s), RowsFingerprint(b));
   INCSHRINK_CHECK_EQ(scalar.Snapshot().and_gates,
                      batched.Snapshot().and_gates);
@@ -245,20 +246,103 @@ void BM_ObliviousSortScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_ObliviousSortScalar)->Arg(256)->Arg(1024)->Arg(4096);
 
+/// One sort is one job and never splits across threads, so the single-sort
+/// case has no thread axis; BM_ObliviousSortJobs measures the threading.
 void BM_ObliviousSortBatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  CheckSortFingerprints(n);
+  SortThroughputLoop(state, n, [](Protocol2PC* proto, SharedRows* rows) {
+    ObliviousSort(proto, rows, kViewSortKeyCol, false);
+  });
+}
+BENCHMARK(BM_ObliviousSortBatched)->Arg(256)->Arg(1024)->Arg(4096);
+
+constexpr size_t kSortJobs = 4;
+
+/// One job per protocol, as the shards of a deployment or the tenants of a
+/// fleet hold them.
+struct JobProtocols {
+  JobProtocols() {
+    for (size_t j = 0; j < kSortJobs; ++j) {
+      parties.push_back(std::make_unique<Party>(0, 81 + j));
+      parties.push_back(std::make_unique<Party>(1, 91 + j));
+      protos.push_back(std::make_unique<Protocol2PC>(
+          parties[2 * j].get(), parties[2 * j + 1].get(),
+          CostModel::EmpLikeLan()));
+    }
+  }
+  std::vector<std::unique_ptr<Party>> parties;
+  std::vector<std::unique_ptr<Protocol2PC>> protos;
+};
+
+/// A kSortJobs-job submission must commit, per job, exactly what that job
+/// commits sorted alone (FNV fingerprints + gate counts).
+void CheckSortJobFingerprints(size_t n, int threads) {
+  Rng rng(43 + n);
+  std::vector<SharedRows> alone;
+  for (size_t j = 0; j < kSortJobs; ++j) {
+    alone.push_back(RandomViewRows(&rng, n));
+  }
+  std::vector<SharedRows> fused = alone;
+  JobProtocols ref;
+  JobProtocols run;
+  std::vector<SortJob> jobs;
+  for (size_t j = 0; j < kSortJobs; ++j) {
+    ObliviousSort(ref.protos[j].get(), &alone[j], kViewSortKeyCol, false);
+    jobs.push_back(SortJob{run.protos[j].get(), &fused[j], kViewSortKeyCol, 0,
+                           false, false});
+  }
+  ThreadPool pool(threads);
+  ObliviousSortBatch(jobs.data(), jobs.size(), BatchExec{&pool, 1});
+  for (size_t j = 0; j < kSortJobs; ++j) {
+    INCSHRINK_CHECK_EQ(RowsFingerprint(alone[j]), RowsFingerprint(fused[j]));
+    INCSHRINK_CHECK_EQ(ref.protos[j]->Snapshot().and_gates,
+                       run.protos[j]->Snapshot().and_gates);
+  }
+}
+
+/// kSortJobs independent n-row sorts as one ObliviousSortBatch submission
+/// (the cross-shard sync sort) at 1 / 2 / 4 threads: the one place threads
+/// pay, one whole sort per worker.
+void BM_ObliviousSortJobs(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  CheckSortFingerprints(n, threads);
+  CheckSortJobFingerprints(n, threads);
+  JobProtocols p;
   ThreadPool pool(threads);
   const BatchExec exec{&pool, 128};
-  SortThroughputLoop(state, n,
-                     [&exec](Protocol2PC* proto, SharedRows* rows) {
-                       ObliviousSort(proto, rows, kViewSortKeyCol, false,
-                                     exec);
-                     });
+  Rng rng(5);
+  uint64_t gates = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<SharedRows> rows;
+    std::vector<SortJob> jobs;
+    std::vector<CircuitStats> before;
+    for (size_t j = 0; j < kSortJobs; ++j) {
+      rows.push_back(RandomViewRows(&rng, n));
+      before.push_back(p.protos[j]->Snapshot());
+    }
+    for (size_t j = 0; j < kSortJobs; ++j) {
+      jobs.push_back(SortJob{p.protos[j].get(), &rows[j], kViewSortKeyCol, 0,
+                             false, false});
+    }
+    state.ResumeTiming();
+    ObliviousSortBatch(jobs.data(), jobs.size(), exec);
+    state.PauseTiming();
+    for (size_t j = 0; j < kSortJobs; ++j) {
+      gates += p.protos[j]->Snapshot().Diff(before[j]).and_gates;
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * n * kSortJobs));
+  state.counters["gates_per_s"] = benchmark::Counter(
+      static_cast<double>(gates), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ObliviousSortBatched)
-    ->ArgsProduct({{256, 1024, 4096}, {1, 2, 8}});
+// Wall-clock rates: the calling thread's CPU time misses the workers'.
+BENCHMARK(BM_ObliviousSortJobs)
+    ->ArgsProduct({{1024, 4096}, {1, 2, 4}})
+    ->UseRealTime();
 
 void BM_ObliviousCountBatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -291,8 +375,8 @@ void BM_ObliviousCountBatched(benchmark::State& state) {
 BENCHMARK(BM_ObliviousCountBatched)->Arg(1024)->Arg(8192);
 
 /// Prints the per-layer batch-size histogram of the n-row sorting network:
-/// the layer structure *is* the batching opportunity (each line is one
-/// fused CompareExchangeRowsBatch submission on the hot path).
+/// the layer structure *is* the batching opportunity (each layer is one
+/// aggregate cost charge on the hot path).
 void PrintLayerHistogram(size_t n) {
   const std::vector<uint64_t> sizes = SortNetworkLayerSizes(n);
   uint64_t total = 0;
@@ -321,40 +405,42 @@ void PrintLayerHistogram(size_t n) {
 // Waksman permutation-network shuffles
 // ---------------------------------------------------------------------------
 
-/// Serial-vs-pooled bit-equality gate for the shuffle scheduler, mirroring
-/// CheckSortFingerprints: a silent divergence fails the bench run itself.
-void CheckShuffleFingerprints(size_t n, int threads) {
+/// Scalar-vs-batched bit-equality gate for the shuffle executor, mirroring
+/// CheckSortFingerprints: the network applied as one scalar MuxSwapRows per
+/// switch must match ObliviousShuffle, or the bench run itself fails.
+void CheckShuffleFingerprints(size_t n) {
   Rng rng(61 + n);
   const SharedRows input = RandomViewRows(&rng, n);
   Party a0(0, 71), a1(1, 72);
   Protocol2PC serial(&a0, &a1, CostModel::EmpLikeLan());
   const std::vector<uint32_t> perm = DrawPublicPermutation(&serial, n);
   SharedRows s = input;
-  ObliviousShuffle(&serial, &s, perm);
+  for (const auto& layer : WaksmanNetwork(perm)) {
+    for (const ProgrammedSwitch& sw : layer) {
+      serial.MuxSwapRows(&s, sw.pair.a, sw.pair.b,
+                         Protocol2PC::ConstShare(sw.swap ? 1 : 0));
+    }
+  }
   Party b0(0, 71), b1(1, 72);
   Protocol2PC batched(&b0, &b1, CostModel::EmpLikeLan());
   const std::vector<uint32_t> perm_b = DrawPublicPermutation(&batched, n);
   INCSHRINK_CHECK(perm == perm_b);
-  ThreadPool pool(threads);
   SharedRows b = input;
-  ObliviousShuffle(&batched, &b, perm, BatchExec{&pool, 1});
+  ObliviousShuffle(&batched, &b, perm);
   INCSHRINK_CHECK_EQ(RowsFingerprint(s), RowsFingerprint(b));
   INCSHRINK_CHECK_EQ(serial.Snapshot().and_gates,
                      batched.Snapshot().and_gates);
 }
 
+/// Single shuffle: one job, so no thread axis (as BM_ObliviousSortBatched).
 void BM_ObliviousShuffle(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  CheckShuffleFingerprints(n, threads);
-  ThreadPool pool(threads);
-  const BatchExec exec{&pool, 128};
-  SortThroughputLoop(state, n,
-                     [&exec](Protocol2PC* proto, SharedRows* rows) {
-                       ObliviousRandomPermute(proto, rows, exec);
-                     });
+  CheckShuffleFingerprints(n);
+  SortThroughputLoop(state, n, [](Protocol2PC* proto, SharedRows* rows) {
+    ObliviousRandomPermute(proto, rows);
+  });
 }
-BENCHMARK(BM_ObliviousShuffle)->ArgsProduct({{256, 1024, 4096}, {1, 2, 8}});
+BENCHMARK(BM_ObliviousShuffle)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_ObliviousShuffleSort(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -6,12 +6,15 @@
 // Each (K, threads) cell runs the same TPC-ds stream through one engine
 // with `num_cache_shards = K` and `cache_shard_threads = threads`. Shrink
 // is configured to fire often (small timer interval, regular flushes) so
-// the per-shard oblivious sorts dominate; on a multicore host the K = 4
-// row should speed up toward 4 threads while producing bit-identical
-// results — the bench cross-checks a summary+transcript fingerprint across
-// all thread counts of each K and prints the verdict. (On a 1-core CI
-// container the speedup column stays ~1x; the determinism cross-check is
-// the part that must always hold.)
+// the per-shard oblivious sorts dominate. Threads pay only when a step
+// carries more work than its forks cost: each step forks the shard pool
+// for the Shrink plans, once for the cross-shard sort submission (one
+// whole shard sort per worker) and for the commits. The per-shard caches
+// of this stream are small, so more threads need not speed it up — on a
+// 4-core container, 2 and 4 threads ran at roughly 0.5-1.0x of 1 thread
+// for K = 2-8. The part that must always hold is determinism: the bench
+// cross-checks a summary+transcript fingerprint across all thread counts
+// of each K and prints the verdict.
 //
 // Wall time is measurement-only (std::chrono::steady_clock around Run);
 // nothing timed ever feeds back into simulated results.

@@ -73,7 +73,8 @@ Status IncShrinkConfig::Validate() const {
         "64-bit priority arithmetic");
   if (oblivious_batch_min_layer == 0)
     return Status::InvalidArgument(
-        "oblivious_batch_min_layer must be >= 1 (1 = always pool-split)");
+        "oblivious_batch_min_layer must be >= 1 (1 = spread every "
+        "multi-job submission over the pool)");
   if (sort_algorithm != SortAlgorithm::kBatcher &&
       sort_algorithm != SortAlgorithm::kShuffleSort)
     return Status::InvalidArgument(

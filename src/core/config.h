@@ -82,9 +82,11 @@ struct IncShrinkConfig {
   /// deployment's ThreadPool with results merged in fixed shard order.
   /// Flushes and the sDPANT threshold apply per shard.
   uint32_t num_cache_shards = 1;
-  /// Worker count for the per-shard Shrink fork-join (K > 1 only).
-  /// 0 = INCSHRINK_THREADS override, else hardware concurrency; always
-  /// capped at the shard count. Never affects results, only wall time.
+  /// Worker count of the deployment pool (K > 1 only): it runs the
+  /// per-shard Shrink plan/commit fork-joins and the cross-shard sort
+  /// submissions, one shard's sort per worker. 0 = INCSHRINK_THREADS
+  /// override, else hardware concurrency; always capped at the shard count.
+  /// Never affects results, only wall time.
   int cache_shard_threads = 0;
 
   // --- fleet serving ---
@@ -97,12 +99,13 @@ struct IncShrinkConfig {
   uint32_t sla_weight = 1;
 
   // --- batched oblivious execution ---
-  /// Minimum combined compare-exchange count of a sorting-network layer (or
-  /// fused cross-shard layer round) before the batch executor splits it
-  /// across the deployment's ThreadPool; smaller layers run the serial
-  /// batch kernel on the submitting thread. Purely a scheduling threshold:
-  /// results are bit-identical at any value and any worker count (batched
-  /// submissions pre-draw their resharing masks in scalar call order).
+  /// Minimum combined site count (compare-exchanges or Waksman switches) of
+  /// a multi-job sort or shuffle submission — the fired shards' cache sorts
+  /// of one step — before its jobs are spread over the deployment's
+  /// ThreadPool, one whole job per worker; smaller submissions, and every
+  /// single-job one, run on the submitting thread. Purely a scheduling
+  /// threshold: results are bit-identical at any value and any worker
+  /// count (each job draws from its own protocol's stream in scalar order).
   uint32_t oblivious_batch_min_layer = 128;
   /// Execution policy of the oblivious cache sorts (Shrink sync order and
   /// the flush path). kBatcher — the reference odd-even merge network the

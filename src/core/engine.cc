@@ -416,9 +416,9 @@ Status Engine::FinishStep() {
 
   if (p.dp) {
     const size_t num = cache_.num_shards();
-    // Fused sync sorts of the fired shards (unless the caller already
-    // executed the jobs it took): one cross-shard batch submission whose
-    // layer rounds pool all shards' pair work on the deployment pool.
+    // Sync sorts of the fired shards (unless the caller already executed
+    // the jobs it took): one cross-shard submission, one shard sort per
+    // worker of the deployment pool.
     if (!p.jobs_taken && !p.jobs.empty()) {
       ObliviousSortBatch(p.jobs.data(), p.jobs.size(), batch_exec());
     }

@@ -80,8 +80,8 @@ class Engine {
   // step (sync commits, flush phase, analyst query). BeginStep + execute
   // jobs + FinishStep is bit-identical to Step() at any thread count;
   // Step() itself is implemented exactly that way, executing the jobs on
-  // the deployment-local pool. DeploymentFleet uses the split to fuse
-  // same-shaped sorts across tenants into one batch submission per round.
+  // the deployment-local pool. DeploymentFleet uses the split to fuse the
+  // fired sorts of all tenants into one batch submission per round.
   // ------------------------------------------------------------------
 
   /// First phase of Step(). Must be balanced by FinishStep().
@@ -248,8 +248,9 @@ class Engine {
   std::vector<std::unique_ptr<ShrinkTimer>> timers_;
   std::vector<std::unique_ptr<ShrinkAnt>> ants_;
   std::vector<IncShrinkConfig> shard_configs_;
-  /// Fork-join pool for the per-shard Shrink phase; null when K == 1 (the
-  /// unsharded engine never spawns a thread).
+  /// Fork-join pool for the per-shard Shrink phases and the cross-shard
+  /// sort submissions; null when K == 1 (the unsharded engine never spawns
+  /// a thread).
   std::unique_ptr<ThreadPool> shard_pool_;
   WindowJoinCounter truth_;
 

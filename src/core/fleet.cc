@@ -125,8 +125,8 @@ void DeploymentFleet::ServiceTenants(const std::vector<size_t>& serve) {
   }
   // Phase split: per-tenant BeginStep (plan) concurrently, then one fused
   // cross-tenant submission — every fired shard sort of every serviced
-  // tenant advances through its network in shared layer rounds on the fleet
-  // pool. Jobs run on pairwise-distinct protocols (one per tenant shard),
+  // tenant runs whole on one worker of the fleet pool, one fork for all of
+  // them. Jobs run on pairwise-distinct protocols (one per tenant shard),
   // so each tenant's randomness stream and cost totals are exactly those of
   // an unfused round. Finally the per-tenant commits, concurrent again.
   std::vector<std::vector<SortJob>> tenant_jobs(serve.size());

@@ -111,16 +111,16 @@ class DeploymentFleet {
     /// Cross-tenant sort coalescing: when set, every round splits tenant
     /// steps into BeginStep (plan) / FinishStep (commit) phases and fuses
     /// all tenants' fired cache sorts into one ObliviousSortBatch
-    /// submission between them, so same-shaped sorting networks advance in
-    /// shared layer rounds on the fleet pool instead of serializing tenant
-    /// by tenant. Scheduling only: every tenant's protocol stream is
-    /// untouched (jobs run on pairwise-distinct protocols), so summaries
-    /// and transcripts are bit-identical to the unfused fleet at any
-    /// thread count (tests/batched_oblivious_test.cc). Composes with the
-    /// priority scheduler: the fused submission spans whichever tenants
-    /// were selected this round.
+    /// submission between them: one fork spreads the whole sorts (one job
+    /// per worker, never split) over the fleet pool. Scheduling only: every
+    /// tenant's protocol stream is untouched (jobs run on pairwise-distinct
+    /// protocols), so summaries and transcripts are bit-identical to the
+    /// unfused fleet at any thread count (tests/batched_oblivious_test.cc).
+    /// Composes with the priority scheduler: the fused submission spans
+    /// whichever tenants were selected this round.
     bool coalesce_sorts = false;
-    /// `oblivious_batch_min_layer` of the fused cross-tenant submissions.
+    /// `oblivious_batch_min_layer` of the fused cross-tenant submissions:
+    /// the combined site count below which they run on the calling thread.
     uint32_t batch_min_layer = 128;
     /// Deterministic deadline/priority service discipline (see class
     /// comment). Default-constructed = disabled = the legacy sweep.

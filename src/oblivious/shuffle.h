@@ -25,13 +25,14 @@ namespace incshrink {
 /// switch crossed is what keeps the realized permutation secret from the
 /// evaluating servers.
 ///
-/// Execution model mirrors src/oblivious/sort.cc: the network is emitted
-/// layer by layer (a `ShuffleLayerCursor`), every layer's switches touch
-/// pairwise-disjoint rows, and each layer is one batched `MuxRowsBatch`
-/// submission — pre-drawn resharing masks in scalar site order, aggregate
-/// cost charged once per layer, optionally thread-parallel apply. Output
-/// shares, the internal randomness stream and the aggregate circuit cost
-/// are bit-identical at any thread count (tests/shuffle_test.cc).
+/// Execution model mirrors src/oblivious/sort.cc: one shuffle is one job
+/// and runs its whole network on one thread. Layer by layer (every layer's
+/// switches touch pairwise-disjoint rows) it charges the layer's aggregate
+/// cost once and applies the switches with the inline-draw mux-swap site
+/// kernel in scalar site order. Multi-job submissions spread whole jobs
+/// over the pool with at most one fork. Output shares, the internal
+/// randomness stream and the aggregate circuit cost are bit-identical at
+/// any thread count (tests/shuffle_test.cc).
 ///
 /// The network *topology* (switch placement, layer sizes, depth) is a pure
 /// function of n; only the control bits depend on the permutation. The
@@ -69,28 +70,6 @@ uint64_t ShuffleNetworkDepth(size_t n);
 /// layer property tests.
 std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n);
 
-/// Enumerates a programmed network one layer at a time, mirroring
-/// LayerCursor in src/oblivious/sort.cc: each `Next` yields one layer of
-/// disjoint switches, the unit submitted as one batched MuxRowsBatch call.
-class ShuffleLayerCursor {
- public:
-  explicit ShuffleLayerCursor(const std::vector<uint32_t>& perm)
-      : layers_(WaksmanNetwork(perm)) {}
-
-  /// Fills `out` with the next layer's switches; returns false when the
-  /// network is exhausted.
-  bool Next(std::vector<ProgrammedSwitch>* out) {
-    out->clear();
-    if (next_ >= layers_.size()) return false;
-    *out = layers_[next_++];
-    return true;
-  }
-
- private:
-  std::vector<std::vector<ProgrammedSwitch>> layers_;
-  size_t next_ = 0;
-};
-
 /// Draws a uniformly random public permutation of [0, n) from the
 /// protocol's internal stream — the *only* sanctioned control-bit entropy
 /// source for shuffles. Consumes exactly 2*(n-1) DrawReshareMasks words
@@ -102,7 +81,8 @@ class ShuffleLayerCursor {
 std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n);
 
 /// Applies `perm` to `rows` obliviously (rows'[k] = rows[perm[k]]) through
-/// the programmed Waksman network, one MuxRowsBatch submission per layer.
+/// the programmed Waksman network, on the calling thread (one job never
+/// forks, whatever `exec` says).
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm,
                       const BatchExec& exec = {});
@@ -116,11 +96,11 @@ struct ShuffleJob {
   const std::vector<uint32_t>* perm = nullptr;
 };
 
-/// Cross-shard / cross-tenant shuffle fusion: executes every job's network
-/// in lockstep layer rounds, pooling the round's mux-swap sites across jobs
-/// into wide submissions. Bit-identical per job to its ObliviousShuffle run
-/// alone, at any thread count and any job mix (same contract — and same
-/// structure — as ObliviousSortBatch).
+/// Cross-shard / cross-tenant shuffle submission: runs each job's whole
+/// network on one thread, spreading the jobs over `exec.pool` with a single
+/// fork (BatchExec::ForEachJob; the threshold counts the jobs' combined
+/// switches). Bit-identical per job to its ObliviousShuffle run alone, at
+/// any thread count and any job mix (same contract as ObliviousSortBatch).
 void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
                            const BatchExec& exec = {});
 
@@ -130,12 +110,12 @@ struct PermuteJob {
   SharedRows* rows = nullptr;
 };
 
-/// Cache-recycle tier: draws one fresh public permutation per job from the
-/// job's own protocol stream (job order) and applies all networks as one
-/// fused submission. This replaces the flush sort outright under
-/// `sort_algorithm = shuffle_sort`: the flush's prefix cut is public-size,
-/// so *any* secret permutation randomizes which rows are fetched versus
-/// recycled — full key order is never needed.
+/// Cache-recycle tier: each job draws one fresh public permutation from its
+/// own protocol stream and applies it; the jobs run as one submission
+/// (ObliviousShuffleBatch's threading). This replaces the flush sort
+/// outright under `sort_algorithm = shuffle_sort`: the flush's prefix cut
+/// is public-size, so *any* secret permutation randomizes which rows are
+/// fetched versus recycled — full key order is never needed.
 void ObliviousRandomPermuteBatch(PermuteJob* jobs, size_t num_jobs,
                                  const BatchExec& exec = {});
 
@@ -157,17 +137,10 @@ uint64_t ShuffleSortComparisons(size_t n);
 /// argsort. Total O(n log n) gates versus Batcher's O(n log^2 n). The key
 /// order of the result equals Batcher's; tie placement differs (ties land
 /// in shuffled order), which is why the Batcher goldens stay the reference
-/// and this path is opt-in.
+/// and this path is opt-in. Runs on the calling thread; multi-job
+/// submissions go through ObliviousSortBatch (SortAlgorithm::kShuffleSort).
 void ObliviousShuffleSort(Protocol2PC* proto, SharedRows* rows,
                           size_t key_col, bool ascending,
                           const BatchExec& exec = {});
-
-/// Multi-job fused shuffle-then-sort (the SortAlgorithm::kShuffleSort arm
-/// of ObliviousSortBatch): per-job permutation draws and argsorts run in
-/// job order; both Waksman passes execute as fused lockstep submissions.
-/// Bit-identical per job to its ObliviousShuffleSort run alone. Jobs must
-/// be single-key (lex == false) and on pairwise-distinct protocols.
-void ObliviousShuffleSortBatch(SortJob* jobs, size_t num_jobs,
-                               const BatchExec& exec = {});
 
 }  // namespace incshrink

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/mpc/protocol.h"
 #include "src/secret/shared_rows.h"
@@ -21,14 +22,17 @@ namespace incshrink {
 /// comparison plus one row-width mux-swap, matching the sort-network costs
 /// the paper's EMP implementation pays.
 ///
-/// Execution model: the network is emitted **layer by layer** — one layer
-/// per (p, k) pass of the network, whose compare-exchange pairs are disjoint
-/// by construction — and each layer is submitted as one batched
-/// `CompareExchangeRowsBatch` call: one aggregate cost event instead of a
-/// per-gate charge, pre-drawn resharing masks in scalar call order, and an
-/// optionally thread-parallel apply over the disjoint pairs. Output shares,
-/// the internal randomness stream and the aggregate circuit cost are
-/// bit-identical to the scalar per-op path at any thread count
+/// Execution model: one sort is one job, and a job always runs its whole
+/// network on one thread. The network is walked layer by layer — one
+/// layer per (p, k) pass, whose compare-exchange pairs are disjoint by
+/// construction — with the inline-draw site kernels: resharing masks come
+/// straight from the protocol's stream in scalar call order, and each layer
+/// charges one aggregate cost event instead of a per-gate charge.
+/// Parallelism is across jobs only (ObliviousSortBatch): the fired shards
+/// of a deployment or the tenants of a fleet each sort on their own
+/// protocol, so a submission forks at most once, one job per worker. Output
+/// shares, the internal randomness stream and the aggregate circuit cost
+/// are bit-identical to the scalar per-op path at any thread count
 /// (tests/batched_oblivious_test.cc).
 
 /// Which full-sort execution policy an oblivious sort runs.
@@ -60,9 +64,10 @@ void ObliviousSort(Protocol2PC* proto, SharedRows* rows, size_t key_col,
 void ObliviousSortLex(Protocol2PC* proto, SharedRows* rows, size_t major_col,
                       size_t minor_col, bool ascending);
 
-/// Batched variants taking an explicit execution policy (pool + the
-/// `oblivious_batch_min_layer` threshold); the two-argument-shorter forms
-/// above run the serial batch kernels.
+/// Variants taking an explicit execution policy. One sort is one job and
+/// never forks, so these commit exactly what the forms above commit; they
+/// exist so callers can thread one BatchExec through single and multi-job
+/// submissions alike.
 void ObliviousSort(Protocol2PC* proto, SharedRows* rows, size_t key_col,
                    bool ascending, const BatchExec& exec);
 void ObliviousSortLex(Protocol2PC* proto, SharedRows* rows, size_t major_col,
@@ -70,9 +75,9 @@ void ObliviousSortLex(Protocol2PC* proto, SharedRows* rows, size_t major_col,
                       const BatchExec& exec);
 
 /// One oblivious sort of a multi-sort submission. Jobs of one batch must
-/// run on pairwise-distinct protocol instances (each sort consumes its own
-/// protocol's resharing stream; two jobs on one protocol would interleave
-/// draws nondeterministically).
+/// run on pairwise-distinct protocol instances and rows (each sort consumes
+/// its own protocol's resharing stream; two jobs on one protocol would
+/// interleave draws nondeterministically).
 struct SortJob {
   Protocol2PC* proto = nullptr;
   SharedRows* rows = nullptr;
@@ -86,14 +91,26 @@ struct SortJob {
   SortAlgorithm algorithm = SortAlgorithm::kBatcher;
 };
 
-/// Cross-shard / cross-tenant sort fusion: executes every job's sorting
-/// network in lockstep layer rounds — round r applies layer r of every job
-/// whose network still has one — so the pair-apply work of all jobs pools
-/// into a handful of wide submissions instead of serializing job by job.
-/// Masks are pre-drawn per job in scalar order before each round and cost
-/// is charged per job per layer, so every job's output shares, randomness
-/// stream and aggregate cost are bit-identical to running its
-/// ObliviousSort alone (at any thread count, any job mix).
+/// CHECKs the contract of a multi-job submission: every job names a
+/// protocol and rows, and no two jobs share either. Shared by the sort and
+/// shuffle executors (any job type with `proto` and `rows` members).
+template <typename Job>
+void CheckIndependentJobs(const Job* jobs, size_t num_jobs) {
+  for (size_t i = 0; i < num_jobs; ++i) {
+    INCSHRINK_CHECK(jobs[i].proto != nullptr && jobs[i].rows != nullptr);
+    for (size_t j = i + 1; j < num_jobs; ++j) {
+      INCSHRINK_CHECK(jobs[i].proto != jobs[j].proto);
+      INCSHRINK_CHECK(jobs[i].rows != jobs[j].rows);
+    }
+  }
+}
+
+/// Cross-shard / cross-tenant sort submission: runs every job's network —
+/// Batcher or shuffle-then-sort, per job — start to finish on one thread,
+/// spreading the jobs over `exec.pool` with a single fork (BatchExec::
+/// ForEachJob; the threshold counts the jobs' combined sites). Every job's
+/// output shares, randomness stream, cost and batch trace are bit-identical
+/// to running its ObliviousSort alone, at any thread count and job mix.
 void ObliviousSortBatch(SortJob* jobs, size_t num_jobs,
                         const BatchExec& exec = {});
 

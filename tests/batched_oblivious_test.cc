@@ -8,8 +8,10 @@
 //     compare-exchange count for every n in [0, 257];
 //   * kernel equality: batched sort / lex-sort / mux / count vs their
 //     scalar reference implementations at 1 / 2 / 8 threads;
-//   * cross-shard and multi-job fusion: ObliviousSortBatch over many jobs
-//     equals each job sorted alone;
+//   * cross-shard and multi-job submissions: ObliviousSortBatch over uneven
+//     Batcher, lex and shuffle-sort job mixes equals each job sorted alone
+//     (rows, cost, batch trace and the protocol stream after the sort), at
+//     1 / 2 / 8 threads with and without forking;
 //   * engine equality: the `oblivious_batch_min_layer` knob is inert for
 //     all three DP strategies (sort, lex-sort and count all sit on the
 //     engine's hot path);
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "src/mpc/protocol.h"
 #include "src/oblivious/filter.h"
 #include "src/oblivious/formats.h"
+#include "src/oblivious/shuffle.h"
 #include "src/oblivious/sort.h"
 #include "src/workload/generators.h"
 
@@ -188,8 +192,7 @@ TEST(BatchedScalarEquivalenceTest, LexSortMatchesScalarBitForBit) {
 }
 
 TEST(BatchedScalarEquivalenceTest, CompareExchangeBatchMatchesScalarOps) {
-  // The batch APIs directly, over an explicit disjoint pair list (the
-  // pooled single-sort path submits exactly these calls per layer).
+  // The batch APIs directly, over an explicit disjoint pair list.
   const size_t n = 128;
   Rng data_rng(17);
   const SharedRows input = RandomViewRows(&data_rng, n);
@@ -198,38 +201,33 @@ TEST(BatchedScalarEquivalenceTest, CompareExchangeBatchMatchesScalarOps) {
     pairs.push_back({p, static_cast<uint32_t>(p + n / 2)});
   }
   for (const bool lex : {false, true}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(std::string(lex ? "lex" : "plain") +
-                   " threads=" + std::to_string(threads));
-      ProtoPair scalar;
-      SharedRows a = input;
-      for (const RowPair& pr : pairs) {
-        if (lex) {
-          scalar.proto.CompareExchangeRowsLex(&a, pr.a, pr.b, kViewKeyCol,
-                                              kViewSortKeyCol, true);
-        } else {
-          scalar.proto.CompareExchangeRows(&a, pr.a, pr.b, kViewSortKeyCol,
-                                           false);
-        }
-      }
-      ProtoPair batched;
-      ThreadPool pool(threads);
-      SharedRows b = input;
+    SCOPED_TRACE(lex ? "lex" : "plain");
+    ProtoPair scalar;
+    SharedRows a = input;
+    for (const RowPair& pr : pairs) {
       if (lex) {
-        batched.proto.CompareExchangeRowsLexBatch(&b, pairs.data(),
-                                                  pairs.size(), kViewKeyCol,
-                                                  kViewSortKeyCol, true,
-                                                  BatchExec{&pool, 1});
+        scalar.proto.CompareExchangeRowsLex(&a, pr.a, pr.b, kViewKeyCol,
+                                            kViewSortKeyCol, true);
       } else {
-        batched.proto.CompareExchangeRowsBatch(&b, pairs.data(),
-                                               pairs.size(), kViewSortKeyCol,
-                                               false, BatchExec{&pool, 1});
+        scalar.proto.CompareExchangeRows(&a, pr.a, pr.b, kViewSortKeyCol,
+                                         false);
       }
-      ExpectRowsIdentical(a, b);
-      ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
     }
+    ProtoPair batched;
+    SharedRows b = input;
+    if (lex) {
+      batched.proto.CompareExchangeRowsLexBatch(&b, pairs.data(),
+                                                pairs.size(), kViewKeyCol,
+                                                kViewSortKeyCol, true);
+    } else {
+      batched.proto.CompareExchangeRowsBatch(&b, pairs.data(),
+                                             pairs.size(), kViewSortKeyCol,
+                                             false);
+    }
+    ExpectRowsIdentical(a, b);
+    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
+              batched.proto.internal_rng()->Next32());
   }
 }
 
@@ -247,23 +245,18 @@ TEST(BatchedScalarEquivalenceTest, MuxRowsBatchMatchesScalarMuxSwaps) {
     bits.push_back(WordShares{0xABCD0000u + p, (0xABCD0000u + p) ^ bit});
   }
 
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ProtoPair scalar;
-    SharedRows a = input;
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      scalar.proto.MuxSwapRows(&a, pairs[p].a, pairs[p].b, bits[p]);
-    }
-    ProtoPair batched;
-    ThreadPool pool(threads);
-    SharedRows b = input;
-    batched.proto.MuxRowsBatch(&b, pairs.data(), bits.data(), pairs.size(),
-                               BatchExec{&pool, 1});
-    ExpectRowsIdentical(a, b);
-    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-              batched.proto.internal_rng()->Next32());
+  ProtoPair scalar;
+  SharedRows a = input;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    scalar.proto.MuxSwapRows(&a, pairs[p].a, pairs[p].b, bits[p]);
   }
+  ProtoPair batched;
+  SharedRows b = input;
+  batched.proto.MuxRowsBatch(&b, pairs.data(), bits.data(), pairs.size());
+  ExpectRowsIdentical(a, b);
+  ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+  EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
+            batched.proto.internal_rng()->Next32());
 }
 
 TEST(BatchedScalarEquivalenceTest, CountWhereBatchMatchesPerTaskCounts) {
@@ -346,49 +339,117 @@ TEST(BatchTraceTest, TraceEventsCarryExactAggregateCost) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-job fusion: many sorts in lockstep layer rounds == each sort alone
+// Multi-job submissions: many sorts in one ObliviousSortBatch == each alone
 // ---------------------------------------------------------------------------
 
+enum class FusionKind { kBatcher, kLex, kShuffleSort };
+
+/// One job's protocol and rows, seeded from the job index alone, so a
+/// standalone run and a fused run of job j start from identical state.
+struct FusionFixture {
+  FusionFixture(size_t n, size_t j)
+      : s0(0, 100 + j), s1(1, 200 + j),
+        proto(&s0, &s1, CostModel::EmpLikeLan()) {
+    Rng data_rng(31 + j);
+    rows = RandomViewRows(&data_rng, n);
+    proto.EnableBatchTrace(true);
+  }
+
+  SortJob Job(FusionKind kind) {
+    if (kind == FusionKind::kLex) {
+      // (key, unique sort key) pairs give the lex order a total order.
+      return SortJob{&proto, &rows, kViewKeyCol, kViewSortKeyCol,
+                     /*lex=*/true, /*ascending=*/true};
+    }
+    SortJob job{&proto, &rows, kViewSortKeyCol, 0, false, false};
+    if (kind == FusionKind::kShuffleSort) {
+      job.algorithm = SortAlgorithm::kShuffleSort;
+    }
+    return job;
+  }
+
+  /// The job through its standalone single-sort API.
+  void SortAlone(FusionKind kind) {
+    switch (kind) {
+      case FusionKind::kBatcher:
+        ObliviousSort(&proto, &rows, kViewSortKeyCol, false);
+        break;
+      case FusionKind::kLex:
+        ObliviousSortLex(&proto, &rows, kViewKeyCol, kViewSortKeyCol, true);
+        break;
+      case FusionKind::kShuffleSort:
+        ObliviousShuffleSort(&proto, &rows, kViewSortKeyCol, false);
+        break;
+    }
+  }
+
+  Party s0, s1;
+  Protocol2PC proto;
+  SharedRows rows{kViewWidth};
+};
+
+void ExpectTracesEqual(const std::vector<BatchTraceEvent>& a,
+                       const std::vector<BatchTraceEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t e = 0; e < a.size(); ++e) {
+    EXPECT_EQ(a[e].kind, b[e].kind) << "event " << e;
+    EXPECT_EQ(a[e].ops, b[e].ops) << "event " << e;
+    ExpectStatsEqual(a[e].cost, b[e].cost);
+  }
+}
+
 TEST(SortFusionTest, FusedJobsMatchStandaloneSorts) {
-  const std::vector<size_t> sizes = {3, 64, 64, 100, 17, 1};
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Reference: each job sorted alone on its own protocol.
-    std::vector<SharedRows> want;
-    std::vector<CircuitStats> want_stats;
+  // Uneven sizes, from empty to a 1000-row network several layers deeper
+  // than the rest.
+  const std::vector<size_t> sizes = {0, 1, 2, 3, 17, 64, 257, 1000};
+  std::vector<std::vector<FusionKind>> submissions = {
+      std::vector<FusionKind>(sizes.size(), FusionKind::kBatcher),
+      std::vector<FusionKind>(sizes.size(), FusionKind::kLex),
+      {}};
+  for (size_t j = 0; j < sizes.size(); ++j) {
+    submissions[2].push_back(j % 2 == 0 ? FusionKind::kBatcher
+                                        : FusionKind::kShuffleSort);
+  }
+  for (size_t s = 0; s < submissions.size(); ++s) {
+    const std::vector<FusionKind>& kinds = submissions[s];
+    // Reference: each job sorted alone on its own protocol, then the next
+    // four words of its resharing stream.
+    std::vector<std::unique_ptr<FusionFixture>> want;
+    std::vector<std::vector<Word>> want_next(sizes.size(),
+                                             std::vector<Word>(4));
     for (size_t j = 0; j < sizes.size(); ++j) {
-      Rng data_rng(31 + j);
-      SharedRows rows = RandomViewRows(&data_rng, sizes[j]);
-      Party s0(0, 100 + j), s1(1, 200 + j);
-      Protocol2PC proto(&s0, &s1, CostModel::EmpLikeLan());
-      ObliviousSort(&proto, &rows, kViewSortKeyCol, false);
-      want.push_back(std::move(rows));
-      want_stats.push_back(proto.Snapshot());
+      want.push_back(std::make_unique<FusionFixture>(sizes[j], j));
+      want[j]->SortAlone(kinds[j]);
+      want[j]->proto.DrawReshareMasks(4, want_next[j].data());
     }
-    // Fused: all jobs in one submission, pooled layer rounds.
-    std::vector<SharedRows> got;
-    std::vector<std::unique_ptr<Party>> parties;
-    std::vector<std::unique_ptr<Protocol2PC>> protos;
-    for (size_t j = 0; j < sizes.size(); ++j) {
-      Rng data_rng(31 + j);
-      got.push_back(RandomViewRows(&data_rng, sizes[j]));
-      parties.push_back(std::make_unique<Party>(0, 100 + j));
-      parties.push_back(std::make_unique<Party>(1, 200 + j));
-      protos.push_back(std::make_unique<Protocol2PC>(
-          parties[2 * j].get(), parties[2 * j + 1].get(),
-          CostModel::EmpLikeLan()));
-    }
-    std::vector<SortJob> jobs;
-    for (size_t j = 0; j < sizes.size(); ++j) {
-      jobs.push_back(SortJob{protos[j].get(), &got[j], kViewSortKeyCol, 0,
-                             false, false});
-    }
-    ThreadPool pool(threads);
-    ObliviousSortBatch(jobs.data(), jobs.size(), BatchExec{&pool, 1});
-    for (size_t j = 0; j < sizes.size(); ++j) {
-      SCOPED_TRACE("job " + std::to_string(j));
-      ExpectRowsIdentical(want[j], got[j]);
-      ExpectStatsEqual(want_stats[j], protos[j]->Snapshot());
+    for (const int threads : {1, 2, 8}) {
+      // With 2+ threads, 1 forks every submission; 1 << 20 forks none.
+      for (const size_t min_ops : {size_t{1}, size_t{1} << 20}) {
+        SCOPED_TRACE("submission " + std::to_string(s) + " threads=" +
+                     std::to_string(threads) +
+                     " min_ops=" + std::to_string(min_ops));
+        std::vector<std::unique_ptr<FusionFixture>> got;
+        std::vector<SortJob> jobs;
+        for (size_t j = 0; j < sizes.size(); ++j) {
+          got.push_back(std::make_unique<FusionFixture>(sizes[j], j));
+          jobs.push_back(got[j]->Job(kinds[j]));
+        }
+        ThreadPool pool(threads);
+        ObliviousSortBatch(jobs.data(), jobs.size(),
+                           BatchExec{&pool, min_ops});
+        for (size_t j = 0; j < sizes.size(); ++j) {
+          SCOPED_TRACE("job " + std::to_string(j));
+          ExpectRowsIdentical(want[j]->rows, got[j]->rows);
+          ExpectStatsEqual(want[j]->proto.Snapshot(),
+                           got[j]->proto.Snapshot());
+          ExpectTracesEqual(want[j]->proto.batch_trace(),
+                            got[j]->proto.batch_trace());
+          // The streams stay aligned past the sort: the next draws match.
+          std::vector<Word> got_next(4);
+          got[j]->proto.DrawReshareMasks(4, got_next.data());
+          EXPECT_EQ(want_next[j], got_next);
+        }
+      }
     }
   }
 }

@@ -193,25 +193,6 @@ TEST(WaksmanNetworkTest, SwitchCountIsNLogNMinusNPlusOneAtPowersOfTwo) {
   EXPECT_EQ(ShuffleNetworkSwitches(3), 3u);
 }
 
-TEST(ShuffleLayerCursorTest, EnumeratesExactlyTheMaterializedLayers) {
-  std::vector<uint32_t> perm{3, 0, 4, 1, 2};
-  const auto layers = WaksmanNetwork(perm);
-  ShuffleLayerCursor cursor(perm);
-  std::vector<ProgrammedSwitch> layer;
-  size_t l = 0;
-  while (cursor.Next(&layer)) {
-    ASSERT_LT(l, layers.size());
-    ASSERT_EQ(layer.size(), layers[l].size());
-    for (size_t p = 0; p < layer.size(); ++p) {
-      EXPECT_EQ(layer[p].pair.a, layers[l][p].pair.a);
-      EXPECT_EQ(layer[p].pair.b, layers[l][p].pair.b);
-      EXPECT_EQ(layer[p].swap, layers[l][p].swap);
-    }
-    ++l;
-  }
-  EXPECT_EQ(l, layers.size());
-}
-
 // ---------------------------------------------------------------------------
 // Permutation draws
 // ---------------------------------------------------------------------------
@@ -318,32 +299,56 @@ TEST(ObliviousShuffleTest, BatchedEqualsSerialAtAllThreadCounts) {
 
 TEST(ObliviousShuffleBatchTest, FusedJobsEqualEachJobAlone) {
   Rng rng(8);
-  const std::vector<size_t> sizes{64, 33, 128, 5};
+  // Uneven sizes, from empty to a 1000-row network several layers deeper
+  // than the rest.
+  const std::vector<size_t> sizes{0, 1, 2, 3, 17, 64, 257, 1000};
   std::vector<SharedRows> inputs;
   for (const size_t n : sizes) inputs.push_back(RandomViewRows(&rng, n));
-  // Reference: each job alone, serial, on its own protocol.
+  // Reference: each job alone, serial, on its own protocol, then the next
+  // four words of its resharing stream.
   std::vector<ProtoPair> ref(sizes.size());
   std::vector<SharedRows> ref_rows = inputs;
   std::vector<std::vector<uint32_t>> perms(sizes.size());
+  std::vector<std::vector<Word>> ref_next(sizes.size(), std::vector<Word>(4));
   for (size_t i = 0; i < sizes.size(); ++i) {
     perms[i] = DrawPublicPermutation(&ref[i].proto, sizes[i]);
+    ref[i].proto.EnableBatchTrace(true);
     ObliviousShuffle(&ref[i].proto, &ref_rows[i], perms[i]);
+    ref[i].proto.DrawReshareMasks(4, ref_next[i].data());
   }
   for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<ProtoPair> fused(sizes.size());
-    std::vector<SharedRows> fused_rows = inputs;
-    std::vector<ShuffleJob> jobs;
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      (void)DrawPublicPermutation(&fused[i].proto, sizes[i]);
-      jobs.push_back({&fused[i].proto, &fused_rows[i], &perms[i]});
-    }
-    ThreadPool pool(threads);
-    ObliviousShuffleBatch(jobs.data(), jobs.size(), BatchExec{&pool, 1});
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      SCOPED_TRACE("job " + std::to_string(i));
-      ExpectRowsIdentical(ref_rows[i], fused_rows[i]);
-      ExpectStatsEqual(ref[i].proto.stats(), fused[i].proto.stats());
+    // With 2+ threads, 1 forks the submission; 1 << 20 never does.
+    for (const size_t min_ops : {size_t{1}, size_t{1} << 20}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " min_ops=" + std::to_string(min_ops));
+      std::vector<ProtoPair> fused(sizes.size());
+      std::vector<SharedRows> fused_rows = inputs;
+      std::vector<ShuffleJob> jobs;
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        (void)DrawPublicPermutation(&fused[i].proto, sizes[i]);
+        fused[i].proto.EnableBatchTrace(true);
+        jobs.push_back({&fused[i].proto, &fused_rows[i], &perms[i]});
+      }
+      ThreadPool pool(threads);
+      ObliviousShuffleBatch(jobs.data(), jobs.size(),
+                            BatchExec{&pool, min_ops});
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        ExpectRowsIdentical(ref_rows[i], fused_rows[i]);
+        ExpectStatsEqual(ref[i].proto.stats(), fused[i].proto.stats());
+        const std::vector<BatchTraceEvent>& want = ref[i].proto.batch_trace();
+        const std::vector<BatchTraceEvent>& got =
+            fused[i].proto.batch_trace();
+        ASSERT_EQ(want.size(), got.size());
+        for (size_t e = 0; e < want.size(); ++e) {
+          EXPECT_EQ(want[e].kind, got[e].kind) << "event " << e;
+          EXPECT_EQ(want[e].ops, got[e].ops) << "event " << e;
+          ExpectStatsEqual(want[e].cost, got[e].cost);
+        }
+        std::vector<Word> next(4);
+        fused[i].proto.DrawReshareMasks(4, next.data());
+        EXPECT_EQ(ref_next[i], next);
+      }
     }
   }
 }
